@@ -97,7 +97,10 @@ def _quantile(ordered: List[float], q: float) -> float:
     if lo == hi:
         return ordered[lo]
     frac = pos - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac
+    a, b = ordered[lo], ordered[hi]
+    # ``a*(1-f) + b*f`` underflows on subnormals (two 5e-324 give 0.0);
+    # the difference form, clamped, always stays within [a, b].
+    return min(max(a + (b - a) * frac, a), b)
 
 
 def box_stats(values: Sequence[float]) -> BoxStats:

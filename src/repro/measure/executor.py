@@ -47,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
+import signal
 import sys
 import time
 from array import array
@@ -205,6 +206,11 @@ def _init_worker(
     from repro.measure.campaign import CloudMembership
 
     global _WORKER_STATE
+    # A forked worker inherits the parent's signal handlers.  A study
+    # supervisor's SIGTERM handler only records a cancel, so the worker
+    # would outlive ``pool.terminate()`` and ``pool.join()`` would wait
+    # forever.  Cancellation is the parent's job.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # Observation faults belong to the engine (they shape trace content
     # exactly as the parent's engine would); transport faults belong to
     # the shard attempt.  Keeping them separate guarantees worker-built

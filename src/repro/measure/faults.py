@@ -181,20 +181,45 @@ class FaultPlan:
         schedule for it.  ``salt=0`` is byte-identical to the unsalted
         draw, so non-adaptive runs and checkpoint journals are
         unaffected.
+
+        The OR of a per-probe decision (:meth:`rate_limit_ttls`) and a
+        per-TTL one (:meth:`hop_lost`); the engine draws the former once
+        per probe and the latter per hop.
         """
+        window = self.rate_limit_ttls(cloud, region, dst, salt)
+        return ttl in window or self.hop_lost(cloud, region, dst, ttl, salt)
+
+    def region_loss_rate(self, region: str) -> float:
+        """Extra per-hop loss for ``region`` (the ``"*"`` entry, else 0)."""
+        return self.region_loss.get(region, self.region_loss.get("*", 0.0))
+
+    def rate_limit_ttls(
+        self, cloud: str, region: str, dst: int, salt: int = 0
+    ) -> range:
+        """The TTLs this probe's rate-limit window silences.
+
+        Empty when the probe does not hit a limiter.  Depends on the probe
+        ``(cloud, region, dst, salt)`` alone, never on the TTL.
+        """
+        if self.rate_limit_rate <= 0.0:
+            return range(0)
         extra: Tuple[int, ...] = (salt,) if salt else ()
-        loss = self.region_loss.get(region, self.region_loss.get("*", 0.0))
-        if loss > 0.0 and self._u("loss", cloud, region, dst, ttl, *extra) < loss:
-            return True
-        if self.rate_limit_rate > 0.0:
-            if self._u("rlimit", cloud, region, dst, *extra) < self.rate_limit_rate:
-                start = 2 + int(
-                    self._u("rlimit-start", cloud, region, dst, *extra)
-                    * _WINDOW_SPREAD
-                )
-                if start <= ttl < start + self.rate_limit_window:
-                    return True
-        return False
+        if self._u("rlimit", cloud, region, dst, *extra) >= self.rate_limit_rate:
+            return range(0)
+        start = 2 + int(
+            self._u("rlimit-start", cloud, region, dst, *extra) * _WINDOW_SPREAD
+        )
+        return range(start, start + self.rate_limit_window)
+
+    def hop_lost(
+        self, cloud: str, region: str, dst: int, ttl: int, salt: int = 0
+    ) -> bool:
+        """The per-TTL region-loss draw."""
+        loss = self.region_loss_rate(region)
+        if loss <= 0.0:
+            return False
+        extra: Tuple[int, ...] = (salt,) if salt else ()
+        return self._u("loss", cloud, region, dst, ttl, *extra) < loss
 
     # ------------------------------------------------------------------
 

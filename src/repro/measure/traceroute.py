@@ -160,6 +160,14 @@ class TracerouteEngine:
         seen_ips: List[IPv4] = []
         loop_injected = rng.random() < cfg.loop_rate
         faults = self._probe_faults
+        # Injected loss / rate-limit windows draw from their own pure
+        # hash (never ``rng``), so the base noise stream -- and with it
+        # every fault-free hop -- matches the clean run exactly.  The
+        # window depends on the probe alone, so it is drawn once here;
+        # only region loss is drawn per TTL.
+        if faults is not None:
+            window = faults.rate_limit_ttls(cloud, region, plan.dest_ip, salt)
+            loss = faults.region_loss_rate(region)
 
         for hop in plan.hops:
             ttl += 1
@@ -171,13 +179,16 @@ class TracerouteEngine:
                 and rng.random() < hop.responsiveness
                 and rng.random() >= cfg.probe_loss_rate
             )
-            # Injected loss / rate-limit windows draw from their own pure
-            # hash (never ``rng``), so the base noise stream -- and with
-            # it every fault-free hop -- matches the clean run exactly.
             if (
                 responds
                 and faults is not None
-                and faults.hop_suppressed(cloud, region, plan.dest_ip, ttl, salt)
+                and (
+                    ttl in window
+                    or (
+                        loss > 0.0
+                        and faults.hop_lost(cloud, region, plan.dest_ip, ttl, salt)
+                    )
+                )
             ):
                 responds = False
             if not responds:
@@ -204,7 +215,13 @@ class TracerouteEngine:
         if (
             dest_responds
             and faults is not None
-            and faults.hop_suppressed(cloud, region, plan.dest_ip, ttl + 1, salt)
+            and (
+                ttl + 1 in window
+                or (
+                    loss > 0.0
+                    and faults.hop_lost(cloud, region, plan.dest_ip, ttl + 1, salt)
+                )
+            )
         ):
             dest_responds = False
         if dest_responds:

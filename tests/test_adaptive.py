@@ -149,6 +149,17 @@ def test_governor_state_dict_round_trip():
 # --- the end-to-end contracts ------------------------------------------
 
 
+def test_rate_limited_digests_are_pinned(nonadaptive_rl, adaptive_rl):
+    # The fault draws feed these digests directly, so a refactor of the
+    # observation-fault path that moves one suppressed hop shows here.
+    assert nonadaptive_rl.digest() == (
+        "9387aa125d062ccbe077af7530130024add5c1e509908caf8f304a1cf52a6827"
+    )
+    assert adaptive_rl.digest() == (
+        "7e66def4bb1ba40ca411a54794af5bcf1818ebaa48443684526da969b021228a"
+    )
+
+
 def test_adaptation_off_is_the_inert_default(nonadaptive_rl):
     assert nonadaptive_rl.resilience is None
     assert nonadaptive_rl.round1_stats.deferred_probes == 0

@@ -10,14 +10,16 @@ pure function of the fault seed -- never of the execution schedule.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.measure.campaign import CampaignStats, CloudMembership, ProbeCampaign
 from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
 from repro.measure.executor import RetryPolicy, ShardedExecutor, plan_shards
-from repro.measure.faults import FaultPlan, InjectedWorkerCrash
+from repro.measure.faults import _WINDOW_SPREAD, FaultPlan, InjectedWorkerCrash
 from repro.measure.metrics import CampaignProgress
 from repro.measure.traceroute import TracerouteEngine
 
@@ -136,6 +138,59 @@ class TestFaultPlan:
             for ttl in range(1, 10):
                 assert plan.hop_suppressed("amazon", "use1", dst, ttl) == \
                     twin.hop_suppressed("amazon", "use1", dst, ttl)
+
+    def test_hop_suppressed_fingerprint_is_pinned(self):
+        # Pins the observation-fault stream itself: any refactor of the
+        # fault draws (keys, order of salt, window arithmetic) that moves
+        # a single bit of this grid changes every rate-limited digest.
+        plan = FaultPlan(
+            seed=9,
+            region_loss={"use1": 0.2},
+            rate_limit_rate=0.3,
+            rate_limit_window=3,
+        )
+        bits = "".join(
+            "1" if plan.hop_suppressed(cloud, region, dst, ttl, salt) else "0"
+            for cloud in ("amazon", "google")
+            for region in ("use1", "euw1")
+            for dst in range(0x0A000001, 0x0A000001 + 64)
+            for salt in (0, 1, 2)
+            for ttl in range(1, 16)
+        )
+        assert len(bits) == 11520
+        assert bits.count("1") == 1722
+        assert hashlib.sha256(bits.encode()).hexdigest() == (
+            "1878882f8125d3ed33a98ff93f708d69995906d687e14e461f8000bfc2dae972"
+        )
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 1000),
+        loss=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        rate=st.sampled_from([0.0, 0.3, 1.0]),
+        window=st.integers(1, 6),
+        cloud=st.sampled_from(["amazon", "google"]),
+        region=st.sampled_from(["use1", "euw1"]),
+        dst=st.integers(0, 2**32 - 1),
+        ttl=st.integers(1, 30),
+        salt=st.integers(0, 3),
+    )
+    def test_hop_suppressed_is_window_or_loss(
+        self, seed, loss, rate, window, cloud, region, dst, ttl, salt
+    ):
+        plan = FaultPlan(
+            seed=seed,
+            region_loss={"use1": loss},
+            rate_limit_rate=rate,
+            rate_limit_window=window,
+        )
+        ttls = plan.rate_limit_ttls(cloud, region, dst, salt)
+        assert plan.hop_suppressed(cloud, region, dst, ttl, salt) == (
+            ttl in ttls or plan.hop_lost(cloud, region, dst, ttl, salt)
+        )
+        if ttls:
+            assert len(ttls) == window
+            assert 2 <= ttls.start and ttls.stop <= 2 + _WINDOW_SPREAD + window
 
     def test_region_loss_wildcard(self):
         plan = FaultPlan(seed=2, region_loss={"*": 1.0})

@@ -166,6 +166,22 @@ class TestSignals:
             assert signal.getsignal(signal.SIGINT) is not before
         assert signal.getsignal(signal.SIGINT) is before
 
+    def test_pool_workers_drop_the_supervisors_sigterm_handler(self, tiny_world):
+        # A worker that kept the handler would survive ``pool.terminate()``
+        # and hang the parent's ``pool.join()``.
+        from repro.measure.executor import _init_worker, _pool_context
+
+        with StudySupervisor(handle_signals=True):
+            pool = _pool_context().Pool(
+                1, initializer=_init_worker, initargs=(tiny_world, "amazon", 0)
+            )
+            try:
+                handler = pool.apply(signal.getsignal, (signal.SIGTERM,))
+            finally:
+                pool.close()
+                pool.join()
+        assert handler == signal.SIG_DFL
+
     def test_non_main_thread_skips_installation(self):
         failures = []
 
