@@ -20,6 +20,7 @@ import os
 import pytest
 
 from repro.bdrmap import BdrmapEngine
+from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
 from repro.world.build import WorldConfig, build_world
 
@@ -38,9 +39,11 @@ def bench_study(bench_world):
     """(study runner, result) for the full pipeline at benchmark scale."""
     runner = AmazonPeeringStudy(
         bench_world,
-        seed=BENCH_SEED,
-        expansion_stride=BENCH_STRIDE,
-        crossval_folds=10,
+        StudyConfig(
+            seed=BENCH_SEED,
+            expansion_stride=BENCH_STRIDE,
+            crossval_folds=10,
+        ),
     )
     result = runner.run()
     return runner, result

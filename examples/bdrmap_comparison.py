@@ -15,15 +15,16 @@ Run:  python examples/bdrmap_comparison.py
 
 import time
 
-from repro import AmazonPeeringStudy, WorldConfig, build_world
+from repro import AmazonPeeringStudy, StudyConfig, WorldConfig, build_world
 from repro.bdrmap import BdrmapEngine, compare
 
 
 def main() -> None:
     t0 = time.time()
     world = build_world(WorldConfig(scale=0.05, seed=29))
-    study = AmazonPeeringStudy(world, seed=29, expansion_stride=4,
-                               run_vpi=False, run_crossval=False)
+    config = StudyConfig(seed=29, expansion_stride=4,
+                         run_vpi=False, run_crossval=False)
+    study = AmazonPeeringStudy(world, config)
     result = study.run()
     print(f"our pipeline finished in {time.time() - t0:.1f}s")
 

@@ -6,8 +6,9 @@ pinning, cross-validation, VPI detection, grouping, and graph
 characterisation -- and returns a :class:`StudyResult` from which every
 table and figure of the paper can be regenerated.
 
-Configuration lives in one frozen :class:`StudyConfig`; the historical
-loose keyword arguments still work through a deprecation shim.  With
+Configuration lives in one frozen :class:`StudyConfig`, the only way to
+configure a study, and every event (probes, merged shards, closed spans)
+reaches one optional :class:`~repro.measure.sink.EventSink`.  With
 ``StudyConfig(workers=N)`` the probing campaigns run on a sharded
 ``multiprocessing`` pool and -- because traces are a pure function of
 ``(seed, cloud, region, dst)`` and shards merge in serial order -- the
@@ -16,7 +17,6 @@ loose keyword arguments still work through a deprecation shim.  With
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import DataError, StageError, StudyInterrupted
@@ -52,35 +52,14 @@ from repro.measure.checkpoint import CheckpointStore
 from repro.measure.dnslookup import ReverseDNS
 from repro.measure.executor import RetryPolicy
 from repro.measure.health import HealthLedger
-from repro.measure.metrics import CampaignProgress, ProgressCallback, StudyMetrics
-from repro.measure.sink import (
-    EventSink,
-    FanoutEvents,
-    ProgressCallbackEvents,
-    SinkLike,
-    as_event_sink,
-)
+from repro.measure.metrics import CampaignProgress, StudyMetrics
+from repro.measure.sink import EventSink, FanoutEvents
 from repro.measure.ping import Pinger
 from repro.measure.supervise import StudySupervisor
 from repro.obs.export import write_trace
 from repro.measure.reachability import PublicVantagePoint
 from repro.measure.traceroute import TracerouteEngine
 from repro.world.model import World
-
-#: Legacy ``AmazonPeeringStudy`` kwargs that map 1:1 onto ``StudyConfig``.
-_LEGACY_CONFIG_KWARGS = (
-    "seed",
-    "expansion_stride",
-    "crossval_folds",
-    "run_vpi",
-    "run_crossval",
-    "workers",
-    "fault_plan",
-    "shard_timeout",
-    "max_retries",
-    "checkpoint_dir",
-    "resume",
-)
 
 
 class _RunContext:
@@ -115,7 +94,7 @@ class _RunContext:
     def campaign_progress(self, label: str) -> CampaignProgress:
         return self.metrics.campaign(label)
 
-    def campaign_sink(self, sink: SinkLike) -> SinkLike:
+    def campaign_sink(self, sink: EventSink) -> EventSink:
         """Tee a campaign's event stream to the study-wide sink."""
         if self.events is None:
             return sink
@@ -146,42 +125,16 @@ class AmazonPeeringStudy:
         world: World,
         config: Optional[StudyConfig] = None,
         *,
-        events: Optional[SinkLike] = None,
-        progress: Optional[ProgressCallback] = None,
+        events: Optional[EventSink] = None,
         supervisor: Optional[StudySupervisor] = None,
-        **legacy: object,
     ) -> None:
-        if isinstance(config, int):
-            # Oldest call style: the second positional argument was `seed`.
-            legacy.setdefault("seed", config)
-            config = None
-        config = _coerce_config(config, legacy)
-
+        if config is None:
+            config = StudyConfig()
         self.world = world
         self.config = config
-        # One consolidated event consumer: probes, merged shards, and
-        # closed spans all flow to `events`.  The legacy per-shard
-        # `progress` callback is adapted onto the same stream.
-        sinks: List[EventSink] = []
-        if events is not None:
-            sinks.append(as_event_sink(events))
-        if progress is not None:
-            warnings.warn(
-                "AmazonPeeringStudy(progress=...) is deprecated; pass "
-                "events=<EventSink> (see repro.measure.sink.EventSink)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            sinks.append(ProgressCallbackEvents(progress))
-        self.events: Optional[EventSink] = (
-            FanoutEvents(*sinks) if sinks else None
-        )
-        # Convenience attributes, kept for existing call sites.
-        self.seed = config.seed
-        self.expansion_stride = config.expansion_stride
-        self.crossval_folds = config.crossval_folds
-        self.run_vpi = config.run_vpi
-        self.run_crossval = config.run_crossval
+        #: the one study-wide event consumer: probes, merged shards, and
+        #: closed spans all flow here.
+        self.events = events
         seed = config.seed
 
         # Public datasets, optionally degraded by the data fault plan.
@@ -295,11 +248,11 @@ class AmazonPeeringStudy:
             _Stage("pinning", True, self._compute_pinning, self._apply_pinning),
             _Stage(
                 "crossval",
-                self.run_crossval,
+                self.config.run_crossval,
                 self._compute_crossval,
                 self._apply_crossval,
             ),
-            _Stage("vpi", self.run_vpi, self._compute_vpi, self._apply_vpi),
+            _Stage("vpi", self.config.run_vpi, self._compute_vpi, self._apply_vpi),
             _Stage("grouping", True, self._compute_grouping, self._apply_grouping),
             _Stage("icg", True, self._compute_icg, self._apply_icg),
             _Stage("quality", True, self._compute_quality, self._apply_quality),
@@ -343,7 +296,7 @@ class AmazonPeeringStudy:
         if events is not None:
             tracer.add_listener(events.on_span_closed)
         result = StudyResult(
-            seed=self.seed,
+            seed=config.seed,
             scale=self.world.config.scale,
             config=config,
             metrics=metrics,
@@ -416,7 +369,7 @@ class AmazonPeeringStudy:
                     config.trace_out,
                     tracer.records,
                     meta={
-                        "seed": self.seed,
+                        "seed": config.seed,
                         "scale": self.world.config.scale,
                         "workers": config.workers,
                     },
@@ -443,7 +396,7 @@ class AmazonPeeringStudy:
         config = self.config
         metrics = StudyMetrics()
         result = StudyResult(
-            seed=self.seed,
+            seed=config.seed,
             scale=self.world.config.scale,
             config=config,
             metrics=metrics,
@@ -598,7 +551,7 @@ class AmazonPeeringStudy:
         stats = ctx.campaign.run_expansion(
             r1_cbis,
             ctx.campaign_sink(self.observatory),
-            stride=self.expansion_stride,
+            stride=self.config.expansion_stride,
             progress=ctx.campaign_progress("round2"),
             checkpoint_store=self.checkpoint_store,
             tracer=ctx.tracer,
@@ -651,7 +604,7 @@ class AmazonPeeringStudy:
             stats_by_label["round1"] = ctx.result.round1_stats
         if ctx.result.round2_stats is not None:
             stats_by_label["round2"] = ctx.result.round2_stats
-        events = as_event_sink(ctx.campaign_sink(self.observatory))
+        events = ctx.campaign_sink(self.observatory)
         try:
             report = run_recovery(
                 ctx.governor,
@@ -784,8 +737,8 @@ class AmazonPeeringStudy:
                 result.alias_sets,
                 result.final_segments,
                 result.segment_rtt_diff,
-                folds=self.crossval_folds,
-                seed=self.seed,
+                folds=self.config.crossval_folds,
+                seed=self.config.seed,
             )
         }
 
@@ -1012,25 +965,3 @@ class AmazonPeeringStudy:
             diffs[(abi, cbi)] = abs(cbi_rtt - abi_rtt)
         return diffs
 
-
-def _coerce_config(
-    config: Optional[StudyConfig], legacy: Dict[str, object]
-) -> StudyConfig:
-    """Merge the deprecated loose kwargs into a :class:`StudyConfig`."""
-    unknown = set(legacy) - set(_LEGACY_CONFIG_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"AmazonPeeringStudy got unexpected keyword argument(s): "
-            f"{sorted(unknown)}"
-        )
-    if config is None:
-        config = StudyConfig()
-    if legacy:
-        warnings.warn(
-            "passing loose keyword arguments to AmazonPeeringStudy is "
-            "deprecated; pass config=StudyConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = config.replace(**legacy)
-    return config

@@ -17,8 +17,8 @@ Three pieces:
   are deterministic and a decoded payload drives downstream stages to
   byte-identical outputs;
 * a :class:`StageStore`: one ``stage_<name>.json`` per stage, written
-  via temp-file + ``os.replace`` + fsync (a hard kill can never tear a
-  stage record) and validated on read (version, stage name, fingerprint,
+  through :func:`~repro.fsutil.atomic_write_text` (a hard kill can never
+  tear a stage record) and validated on read (version, stage name, fingerprint,
   and a sha256 over the payload bytes) -- anything suspect is recomputed
   rather than trusted;
 * a :class:`StageChain` of fingerprints: each stage's identity covers
@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from collections import Counter
 from pathlib import Path
 from typing import (
@@ -50,7 +49,7 @@ from typing import (
 )
 
 from repro.errors import DataError
-from repro.fsutil import fsync_dir, safe_name
+from repro.fsutil import atomic_write_text, safe_name
 from repro.core.aliasverify import AliasOwnership, VerificationResult
 from repro.core.anchors import AnchorSet
 from repro.core.borders import ObservatoryStats, SegmentRecord
@@ -342,7 +341,7 @@ class StageStore:
     def save(self, stage: str, fingerprint: str, payload: Dict[str, Any]) -> str:
         """Atomically persist one stage's payload; returns its digest.
 
-        temp-file + ``os.replace`` + fsync (file *and* directory): after
+        Written through :func:`~repro.fsutil.atomic_write_text`: after
         this returns, a hard kill leaves either the complete new record
         or the previous state -- never a torn file.
         """
@@ -355,12 +354,8 @@ class StageStore:
             "payload_digest": digest,
             "payload": encoded,
         }
-        path = self._path(stage)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(self.root)
+        atomic_write_text(
+            self._path(stage),
+            json.dumps(doc, sort_keys=True, separators=(",", ":")),
+        )
         return digest

@@ -30,14 +30,7 @@ from repro.measure.metrics import (
 )
 from repro.measure.ping import Pinger
 from repro.measure.reachability import PublicVantagePoint
-from repro.measure.sink import (
-    CollectorSink,
-    EventSink,
-    FanoutEvents,
-    ProbeSink,
-    StatsSink,
-    as_event_sink,
-)
+from repro.measure.sink import CollectorSink, EventSink, FanoutEvents
 from repro.measure.traceroute import (
     GAP_LIMIT,
     StopReason,
@@ -61,7 +54,6 @@ __all__ = [
     "InjectedWorkerCrash",
     "Pinger",
     "ProbeCampaign",
-    "ProbeSink",
     "PublicVantagePoint",
     "QuarantinedShard",
     "RetryPolicy",
@@ -69,13 +61,11 @@ __all__ = [
     "ShardFailure",
     "ShardTiming",
     "ShardedExecutor",
-    "StatsSink",
     "StopReason",
     "StudyMetrics",
     "TraceHop",
     "Traceroute",
     "TracerouteEngine",
-    "as_event_sink",
     "partition_targets",
     "plan_shards",
     "vpi_target_pool",

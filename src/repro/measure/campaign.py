@@ -3,10 +3,10 @@
 Round 1 sweeps the ``.1`` of every /24 in the target universe from every
 region.  Round 2 ("expansion probing") targets every other address of the
 /24s around the CBIs discovered in round 1.  The VPI round re-probes a
-target pool from the four other clouds.  All campaigns stream traces into
-:class:`~repro.measure.sink.ProbeSink` consumers so memory stays bounded
-at any scale, and every run goes through the sharded executor -- serial
-when ``workers <= 1``, a ``multiprocessing`` pool otherwise, with
+target pool from the four other clouds.  All campaigns stream merged
+traces to an :class:`~repro.measure.sink.EventSink` so memory stays
+bounded at any scale, and every run goes through the sharded executor --
+serial when ``workers <= 1``, a ``multiprocessing`` pool otherwise, with
 identical output either way.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -29,7 +28,7 @@ from repro.measure.checkpoint import CheckpointStore
 from repro.measure.executor import RetryPolicy
 from repro.measure.faults import FaultPlan
 from repro.measure.metrics import CampaignProgress
-from repro.measure.sink import SinkLike
+from repro.measure.sink import EventSink
 from repro.measure.supervise import StudySupervisor
 from repro.measure.traceroute import Traceroute, TracerouteEngine
 from repro.obs.span import TracerLike
@@ -37,10 +36,6 @@ from repro.world.model import World
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (import cycle)
     from repro.measure.adapt import ProbeGovernor
-
-#: Deprecated alias; campaign APIs now accept any :data:`SinkLike`
-#: (a ``ProbeSink`` or a bare callable).  Kept for old call sites.
-TraceConsumer = Callable[[Traceroute], None]
 
 
 @dataclass
@@ -151,7 +146,7 @@ class ProbeCampaign:
     def run(
         self,
         targets: Iterable[IPv4],
-        sink: SinkLike,
+        sink: EventSink,
         stats: Optional[CampaignStats] = None,
         regions: Optional[Sequence[str]] = None,
         workers: Optional[int] = None,
@@ -211,7 +206,7 @@ class ProbeCampaign:
 
     def run_round1(
         self,
-        sink: SinkLike,
+        sink: EventSink,
         stats: Optional[CampaignStats] = None,
         workers: Optional[int] = None,
         progress: Optional[CampaignProgress] = None,
@@ -265,7 +260,7 @@ class ProbeCampaign:
     def run_expansion(
         self,
         cbi_ips: Iterable[IPv4],
-        sink: SinkLike,
+        sink: EventSink,
         stats: Optional[CampaignStats] = None,
         stride: int = 1,
         workers: Optional[int] = None,

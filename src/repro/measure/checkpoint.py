@@ -21,11 +21,10 @@ mid-write) is silently dropped.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.fsutil import fsync_dir, safe_name
+from repro.fsutil import atomic_write_text, safe_name
 
 _FORMAT_VERSION = 1
 
@@ -35,36 +34,37 @@ class CampaignCheckpoint:
 
     ``get``/``put`` speak the executor's packed wire format (see
     ``executor._pack_result``); the journal never holds live objects.
-    Tracing span rows never enter the journal either: the executor
-    re-packs the bare 4-element result before calling ``put``, so a
-    resumed run can never replay another run's stale wall-clock.
+    Each shard is kept in memory only as its encoded journal line --
+    ``get`` decodes it on demand -- so a campaign's journal costs one
+    string per shard rather than a tree of lists.  Tracing span rows
+    never enter the journal either: the executor re-packs the bare
+    4-element result before calling ``put``, so a resumed run can never
+    replay another run's stale wall-clock.
     """
 
     def __init__(self, path: Union[str, Path], fingerprint: str, resume: bool = True) -> None:
         self.path = Path(path)
         self.fingerprint = fingerprint
-        self._shards: Dict[int, Sequence[Any]] = {}
+        #: shard index -> its journal line (JSON, no trailing newline).
+        self._lines: Dict[int, str] = {}
         self.stale = False  # an existing journal was discarded
         if resume:
             self._load()
         elif self.path.exists():
             self.path.unlink()
         if not self._has_header():
-            self._write_header()
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.write_text(self._header() + "\n")
 
     # ------------------------------------------------------------------
 
     def _has_header(self) -> bool:
         return self.path.exists() and self.path.stat().st_size > 0
 
-    def _write_header(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w") as fh:
-            json.dump(
-                {"version": _FORMAT_VERSION, "fingerprint": self.fingerprint},
-                fh,
-            )
-            fh.write("\n")
+    def _header(self) -> str:
+        return json.dumps(
+            {"version": _FORMAT_VERSION, "fingerprint": self.fingerprint}
+        )
 
     def _load(self) -> None:
         if not self.path.exists():
@@ -95,29 +95,30 @@ class CampaignCheckpoint:
             except ValueError:
                 break  # torn final write; everything before it is good
             if isinstance(row, dict) and "shard" in row and "packed" in row:
-                self._shards[int(row["shard"])] = row["packed"]
+                self._lines[int(row["shard"])] = line
 
     # ------------------------------------------------------------------
 
     @property
     def completed_shards(self) -> int:
-        return len(self._shards)
+        return len(self._lines)
 
     def has(self, shard_index: int) -> bool:
-        return shard_index in self._shards
+        return shard_index in self._lines
 
     def get(self, shard_index: int) -> Optional[Sequence[Any]]:
-        return self._shards.get(shard_index)
+        line = self._lines.get(shard_index)
+        return None if line is None else json.loads(line)["packed"]
 
     def put(self, shard_index: int, packed: Sequence[Any]) -> None:
         """Journal one completed shard (append + flush, torn-write safe)."""
-        if shard_index in self._shards:
+        if shard_index in self._lines:
             return
+        line = json.dumps({"shard": shard_index, "packed": packed})
         with open(self.path, "a") as fh:
-            json.dump({"shard": shard_index, "packed": packed}, fh)
-            fh.write("\n")
+            fh.write(line + "\n")
             fh.flush()
-        self._shards[shard_index] = packed
+        self._lines[shard_index] = line
 
     def finalize(self) -> None:
         """Compact the journal into one atomically-replaced, fsynced file.
@@ -125,29 +126,15 @@ class CampaignCheckpoint:
         The append path above is fast but a hard kill can still tear its
         final line; the reader tolerates that, but once a campaign (or an
         interrupted study) reaches a quiescent point we rewrite the whole
-        journal via temp-file + ``os.replace`` + fsync so the on-disk
-        state is durable and untorn.  Idempotent; shard order is sorted
-        so the finalized bytes are deterministic.
+        journal through :func:`~repro.fsutil.atomic_write_text` so the
+        on-disk state is durable and untorn.  Idempotent; shard order is
+        sorted so the finalized bytes are deterministic.
         """
         if not self.path.parent.exists():
             return
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(
-                {"version": _FORMAT_VERSION, "fingerprint": self.fingerprint},
-                fh,
-            )
-            fh.write("\n")
-            for shard_index in sorted(self._shards):
-                json.dump(
-                    {"shard": shard_index, "packed": self._shards[shard_index]},
-                    fh,
-                )
-                fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        fsync_dir(self.path.parent)
+        lines = [self._header()]
+        lines.extend(self._lines[index] for index in sorted(self._lines))
+        atomic_write_text(self.path, "\n".join(lines) + "\n")
 
 
 class CheckpointStore:

@@ -74,7 +74,7 @@ from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
 from repro.measure.faults import FaultPlan
 from repro.measure.metrics import CampaignProgress, QuarantinedShard, ShardTiming
 from repro.measure.supervise import StudySupervisor
-from repro.measure.sink import EventSink, SinkLike, as_event_sink
+from repro.measure.sink import EventSink
 from repro.measure.traceroute import TraceHop, Traceroute, TracerouteEngine
 from repro.net.ip import IPv4
 from repro.obs.span import NULL_TRACER, PackedSpan, Tracer, TracerLike
@@ -407,7 +407,7 @@ class ShardedExecutor:
     def run(
         self,
         targets: Iterable[IPv4],
-        sink: SinkLike,
+        events: EventSink,
         stats: "CampaignStats",
         regions: Sequence[str],
         progress: Optional[CampaignProgress] = None,
@@ -416,15 +416,14 @@ class ShardedExecutor:
         tracer: Optional[TracerLike] = None,
         worker_spans: bool = False,
     ) -> None:
-        """Trace ``regions x targets`` and stream merged results to ``sink``.
+        """Trace ``regions x targets`` and stream merged results to ``events``.
 
-        ``sink`` is anything ``as_event_sink`` accepts; merged traces
-        arrive as ``on_probe`` events in serial order, each merged shard
-        fires ``on_shard_merged``, and the sink's ``close()`` fires after
-        the last event.  ``stats`` is a ``CampaignStats`` updated in
-        merge order.  With a ``checkpoint_store``, completed shards are
-        journalled under ``checkpoint_label`` and replayed on the next
-        run.
+        Merged traces arrive as ``on_probe`` events in serial order, each
+        merged shard fires ``on_shard_merged``, and the sink's ``close()``
+        fires after the last event.  ``stats`` is a ``CampaignStats``
+        updated in merge order.  With a ``checkpoint_store``, completed
+        shards are journalled under ``checkpoint_label`` and replayed on
+        the next run.
 
         ``tracer`` records a ``campaign:<label>`` span with one ``shard``
         span per merged shard; ``worker_spans=True`` additionally traces
@@ -437,7 +436,6 @@ class ShardedExecutor:
         target_list = (
             targets if isinstance(targets, (list, tuple)) else list(targets)
         )
-        events = as_event_sink(sink)
         trc: TracerLike = tracer if tracer is not None else NULL_TRACER
         shard_size = self.shard_size or default_shard_size(
             len(target_list), self.workers

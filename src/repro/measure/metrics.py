@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs.span import Span, Tracer
 
@@ -58,10 +58,6 @@ class QuarantinedShard:
     error: str
 
 
-#: Callback fired after every merged shard (used by ``--progress``).
-ProgressCallback = Callable[["CampaignProgress", ShardTiming], None]
-
-
 @dataclass
 class CampaignProgress:
     """Throughput counters for one campaign (round 1, expansion, VPI...)."""
@@ -79,7 +75,6 @@ class CampaignProgress:
     quarantined: List[QuarantinedShard] = field(default_factory=list)
     #: shards replayed from a checkpoint instead of re-probed.
     resumed_shards: int = 0
-    callback: Optional[ProgressCallback] = None
     _started: Optional[float] = None
     _finished: Optional[float] = None
 
@@ -98,8 +93,6 @@ class CampaignProgress:
             self.by_region.get(timing.region, 0) + timing.probes
         )
         self.shard_timings.append(timing)
-        if self.callback is not None:
-            self.callback(self, timing)
 
     def note_failure(
         self, shard_index: int, error: str, category: str = "transport"
@@ -234,16 +227,12 @@ class StudyMetrics:
         with self.tracer.span(name, category="stage") as span:
             yield span
 
-    def campaign(
-        self, label: str, callback: Optional[ProgressCallback] = None
-    ) -> CampaignProgress:
+    def campaign(self, label: str) -> CampaignProgress:
         """Create (or fetch) the progress record for a campaign."""
         progress = self.campaigns.get(label)
         if progress is None:
-            progress = CampaignProgress(label=label, callback=callback)
+            progress = CampaignProgress(label=label)
             self.campaigns[label] = progress
-        elif callback is not None:
-            progress.callback = callback
         return progress
 
     @property

@@ -93,18 +93,14 @@ def write_jsonl(
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
-        json.dump(
-            {
-                "kind": _TRACE_KIND,
-                "version": TRACE_VERSION,
-                "meta": dict(sorted((meta or {}).items())),
-            },
-            fh,
-        )
-        fh.write("\n")
+        header = {
+            "kind": _TRACE_KIND,
+            "version": TRACE_VERSION,
+            "meta": dict(sorted((meta or {}).items())),
+        }
+        fh.write(json.dumps(header) + "\n")
         for record in records:
-            json.dump(_record_to_row(record), fh)
-            fh.write("\n")
+            fh.write(json.dumps(_record_to_row(record)) + "\n")
     return out
 
 
@@ -194,8 +190,7 @@ def write_chrome_trace(
 ) -> Path:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(to_chrome_trace(records, meta), fh)
+    out.write_text(json.dumps(to_chrome_trace(records, meta)))
     return out
 
 

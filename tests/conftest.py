@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
 from repro.world.build import WorldConfig, build_world
 
@@ -28,7 +29,7 @@ def small_world():
 def study(small_world):
     """A completed end-to-end study (study object + result)."""
     runner = AmazonPeeringStudy(
-        small_world, seed=3, expansion_stride=8, crossval_folds=2
+        small_world, StudyConfig(seed=3, expansion_stride=8, crossval_folds=2)
     )
     result = runner.run()
     return runner, result

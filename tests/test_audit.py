@@ -193,10 +193,9 @@ def test_live_api_extraction_records_slim_sink_surface():
     api, findings = extract_api(str(REPO_ROOT))
     assert findings == []
     exported = api["measure"]["all"]
-    assert "as_event_sink" in exported
     assert "EventSink" in exported
-    assert "as_sink" not in exported
-    assert "FanoutSink" not in exported
+    for gone in ("ProbeSink", "as_event_sink", "as_sink", "FanoutSink"):
+        assert gone not in exported
 
 
 def test_diff_locked_reports_per_surface():

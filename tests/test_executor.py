@@ -11,7 +11,7 @@ from repro.measure.executor import (
     plan_shards,
 )
 from repro.measure.metrics import CampaignProgress
-from repro.measure.sink import CollectorSink
+from repro.measure.sink import CollectorSink, EventSink
 from repro.measure.traceroute import TracerouteEngine
 
 
@@ -87,7 +87,7 @@ class TestExpansionStrideEdges:
         campaign = ProbeCampaign(tiny_world)
         region = tiny_world.region_names("amazon")[:1]
         targets = iter([p.network + 1 for p in tiny_world.sweep_slash24s[:5]])
-        stats = campaign.run(targets, lambda t: None, regions=region)
+        stats = campaign.run(targets, EventSink(), regions=region)
         assert stats.probes == 5
 
 
@@ -136,7 +136,7 @@ class TestProgress:
         progress = CampaignProgress(label="test")
         regions = tiny_world.region_names("amazon")[:2]
         targets = [p.network + 1 for p in tiny_world.sweep_slash24s[:10]]
-        campaign.run(targets, lambda t: None, regions=regions, progress=progress)
+        campaign.run(targets, EventSink(), regions=regions, progress=progress)
         assert progress.probes == len(targets) * len(regions)
         assert progress.expected_probes == progress.probes
         assert progress.done_fraction == pytest.approx(1.0)
@@ -149,13 +149,16 @@ class TestProgress:
 
     def test_callback_fires_per_shard(self, tiny_world):
         seen = []
-        progress = CampaignProgress(
-            label="cb", callback=lambda p, t: seen.append(t.index)
-        )
+
+        class ShardSpy(EventSink):
+            def on_shard_merged(self, progress, timing):
+                seen.append(timing.index)
+
+        progress = CampaignProgress(label="cb")
         campaign = ProbeCampaign(tiny_world)
         campaign.run(
             [p.network + 1 for p in tiny_world.sweep_slash24s[:4]],
-            lambda t: None,
+            ShardSpy(),
             regions=tiny_world.region_names("amazon")[:1],
             progress=progress,
         )

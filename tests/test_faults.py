@@ -21,6 +21,7 @@ from repro.measure.checkpoint import CampaignCheckpoint, CheckpointStore
 from repro.measure.executor import RetryPolicy, ShardedExecutor, plan_shards
 from repro.measure.faults import _WINDOW_SPREAD, FaultPlan, InjectedWorkerCrash
 from repro.measure.metrics import CampaignProgress
+from repro.measure.sink import CollectorSink
 from repro.measure.traceroute import TracerouteEngine
 
 
@@ -52,18 +53,18 @@ def _run(world, targets, regions, workers=1, faults=None, retry=None,
         faults=faults,
         retry=retry or RetryPolicy(backoff_base_s=0.0),
     )
-    traces = []
+    sink = CollectorSink()
     stats = CampaignStats()
     executor.run(
         targets,
-        traces.append,
+        sink,
         stats,
         regions=regions,
         progress=progress,
         checkpoint_store=checkpoint_store,
         checkpoint_label=label,
     )
-    return _fingerprint(traces), stats
+    return _fingerprint(sink.traces), stats
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ from repro.measure.alias import AliasResolver, _UnionFind
 from repro.measure.campaign import CampaignStats, ProbeCampaign, vpi_target_pool
 from repro.measure.dnslookup import ReverseDNS
 from repro.measure.ping import PROCESSING_FLOOR_MS, Pinger
+from repro.measure.sink import EventSink
 from repro.measure.reachability import PublicVantagePoint
 from repro.measure.traceroute import TracerouteEngine
 
@@ -213,7 +214,7 @@ class TestCampaign:
         campaign = ProbeCampaign(tiny_world, engine)
         stats = campaign.run(
             [p.network + 1 for p in tiny_world.sweep_slash24s[:10]],
-            lambda t: None,
+            EventSink(),
             regions=tiny_world.region_names("amazon")[:2],
         )
         assert stats.probes == 20

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
 from repro.measure.campaign import ProbeCampaign
-from repro.measure.sink import CollectorSink
+from repro.measure.sink import CollectorSink, EventSink
 from repro.obs.analyze import (
     campaign_funnel,
     render_trace_summary,
@@ -336,7 +336,7 @@ class TestTraceAnalyzer:
         campaign = ProbeCampaign(tiny_world, workers=2)
         campaign.run(
             [p.network + 1 for p in tiny_world.sweep_slash24s[:20]],
-            lambda t: None,
+            EventSink(),
             regions=tiny_world.region_names("amazon")[:2],
             checkpoint_label="round1",
             tracer=tracer,

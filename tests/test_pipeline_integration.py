@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import StudyConfig
 from repro.core.evaluation import evaluate_study
 from repro.core.pipeline import AmazonPeeringStudy
 from repro.world.build import WorldConfig, build_world
@@ -90,12 +91,11 @@ class TestDeterminism:
     def test_same_seed_same_key_outputs(self):
         world_a = build_world(WorldConfig(scale=0.01, seed=21))
         world_b = build_world(WorldConfig(scale=0.01, seed=21))
-        res_a = AmazonPeeringStudy(
-            world_a, seed=21, expansion_stride=16, run_vpi=False, run_crossval=False
-        ).run()
-        res_b = AmazonPeeringStudy(
-            world_b, seed=21, expansion_stride=16, run_vpi=False, run_crossval=False
-        ).run()
+        config = StudyConfig(
+            seed=21, expansion_stride=16, run_vpi=False, run_crossval=False
+        )
+        res_a = AmazonPeeringStudy(world_a, config).run()
+        res_b = AmazonPeeringStudy(world_b, config).run()
         assert res_a.final_segments == res_b.final_segments
         assert res_a.abis == res_b.abis
         assert [r.total for r in res_a.table1] == [r.total for r in res_b.table1]

@@ -1,4 +1,4 @@
-"""ProbeSink protocol, sink composition, and the StudyConfig redesign."""
+"""The EventSink surface, sink composition, and the StudyConfig redesign."""
 
 import dataclasses
 
@@ -7,18 +7,7 @@ import pytest
 from repro.core.borders import BorderObservatory
 from repro.core.config import StudyConfig
 from repro.core.pipeline import AmazonPeeringStudy
-from repro.measure.campaign import CampaignStats, CloudMembership
-from repro.measure.sink import (
-    CallbackEvents,
-    CollectorSink,
-    EventSink,
-    FanoutEvents,
-    ProbeSink,
-    ProbeSinkEvents,
-    StatsSink,
-    as_event_sink,
-    close_sink,
-)
+from repro.measure.sink import CollectorSink, EventSink, FanoutEvents
 from repro.measure.traceroute import StopReason, TraceHop, Traceroute
 
 
@@ -32,70 +21,72 @@ def _trace(region="use1", dst=0x0B000001, completed=True):
     )
 
 
+class _Tagged(EventSink):
+    """Records every probe and close under its tag."""
+
+    def __init__(self, tag, log):
+        self.tag = tag
+        self.log = log
+
+    def on_probe(self, trace):
+        self.log.append(self.tag)
+
+    def close(self):
+        self.log.append(("close", self.tag))
+
+
 class TestAsEventSink:
-    def test_wraps_callable(self):
-        seen = []
-        sink = as_event_sink(seen.append)
-        assert isinstance(sink, CallbackEvents)
-        sink.on_probe(_trace())
-        assert len(seen) == 1
-
-    def test_wraps_probe_sink(self):
-        collector = CollectorSink()
-        sink = as_event_sink(collector)
-        assert isinstance(sink, ProbeSinkEvents)
-        sink.on_probe(_trace())
-        assert len(collector.traces) == 1
-
     def test_passes_event_sinks_through(self):
-        sink = FanoutEvents()
-        assert as_event_sink(sink) is sink
-
-    def test_rejects_non_sink(self):
-        with pytest.raises(TypeError):
-            as_event_sink(42)
+        sink = CollectorSink()
+        assert FanoutEvents(sink).sinks == [sink]
 
     def test_deprecated_shims_are_gone(self):
         import repro.measure.sink as sink_mod
 
-        for name in ("as_sink", "FanoutSink", "CallbackSink"):
+        for name in (
+            "as_sink",
+            "FanoutSink",
+            "CallbackSink",
+            "ProbeSink",
+            "SinkLike",
+            "ProbeSinkEvents",
+            "CallbackEvents",
+            "ProgressCallbackEvents",
+            "as_event_sink",
+            "close_sink",
+            "StatsSink",
+            "NullSink",
+        ):
             assert not hasattr(sink_mod, name)
 
     def test_observatory_is_a_probe_sink(self):
-        # Structural conformance is all that matters for the executor.
-        assert hasattr(BorderObservatory, "consume")
-        assert callable(BorderObservatory.consume)
+        # The observatory is fed through on_probe, like every other sink.
+        assert issubclass(BorderObservatory, EventSink)
+        assert not hasattr(BorderObservatory, "consume")
 
-    def test_protocol_runtime_checkable(self):
-        assert isinstance(CollectorSink(), ProbeSink)
-        assert not isinstance(object(), ProbeSink)
+
+class TestCollectorSink:
+    def test_collects_probes_in_order(self):
+        collector = CollectorSink()
+        first, second = _trace(dst=1), _trace(dst=2)
+        collector.on_probe(first)
+        collector.on_probe(second)
+        assert collector.traces == [first, second]
 
 
 class TestFanout:
     def test_fanout_delivers_in_order(self):
         order = []
-        fan = FanoutEvents(
-            lambda t: order.append("a"),
-            lambda t: order.append("b"),
-        )
+        fan = FanoutEvents(_Tagged("a", order), _Tagged("b", order))
         fan.on_probe(_trace())
         fan.on_probe(_trace())
         assert order == ["a", "b", "a", "b"]
 
     def test_fanout_close_propagates(self):
-        class Closeable:
-            closed = False
-
-            def consume(self, trace):
-                pass
-
-            def close(self):
-                self.closed = True
-
-        closeable = Closeable()
-        fan = FanoutEvents(closeable, lambda t: None)
+        log = []
+        fan = FanoutEvents(_Tagged("a", log), CollectorSink())
         fan.close()
-        assert closeable.closed
+        assert log == [("close", "a")]
 
     def test_fanout_drops_none_entries(self):
         fan = FanoutEvents(None, CollectorSink(), None)
@@ -103,26 +94,6 @@ class TestFanout:
 
     def test_fanout_is_an_event_sink(self):
         assert isinstance(FanoutEvents(), EventSink)
-
-    def test_close_sink_tolerates_closeless_sinks(self):
-        close_sink(CollectorSink())  # no close(): must be a no-op
-
-
-class TestStatsSink:
-    def test_records_with_membership(self, tiny_world):
-        stats = CampaignStats()
-        membership = CloudMembership(tiny_world, "amazon")
-        sink = StatsSink(stats, membership.left_cloud)
-        sink.consume(_trace(completed=True))
-        sink.consume(_trace(completed=False))
-        assert stats.probes == 2
-        assert stats.completed == 1
-        assert stats.gap_limited == 1
-
-    def test_default_counts_nothing_as_left(self):
-        stats = CampaignStats()
-        StatsSink(stats).consume(_trace())
-        assert stats.left_cloud == 0
 
 
 class TestStudyConfig:
@@ -159,47 +130,27 @@ class TestStudyConfig:
 
 
 class TestLegacyKwargsShim:
-    def test_loose_kwargs_warn_and_apply(self, tiny_world):
-        with pytest.warns(DeprecationWarning):
-            study = AmazonPeeringStudy(
-                tiny_world, seed=5, expansion_stride=4, run_vpi=False
-            )
-        assert study.config == StudyConfig(
-            seed=5, expansion_stride=4, run_vpi=False
-        )
-        assert study.seed == 5
-        assert study.expansion_stride == 4
-
-    def test_positional_seed_still_works(self, tiny_world):
-        with pytest.warns(DeprecationWarning):
-            study = AmazonPeeringStudy(tiny_world, 5)
-        assert study.config.seed == 5
-
     def test_config_object_does_not_warn(self, tiny_world, recwarn):
         study = AmazonPeeringStudy(tiny_world, StudyConfig(seed=2))
         assert study.config.seed == 2
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
+        assert not recwarn.list
 
-    def test_unknown_kwarg_rejected(self, tiny_world):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"frobnicate": True}, {"seed": 5}],
+        ids=["frobnicate", "seed"],
+    )
+    def test_unknown_kwarg_rejected(self, tiny_world, kwargs):
+        # StudyConfig is the only way to configure a study.
         with pytest.raises(TypeError):
-            AmazonPeeringStudy(tiny_world, frobnicate=True)
+            AmazonPeeringStudy(tiny_world, **kwargs)
 
 
 # ----------------------------------------------------------------------
-# The unified EventSink surface (PR 6).
+# The unified EventSink surface.
 # ----------------------------------------------------------------------
 
-from repro.measure.metrics import CampaignProgress, ShardTiming  # noqa: E402
-from repro.measure.sink import (  # noqa: E402
-    CallbackEvents,
-    EventSink,
-    FanoutEvents,
-    ProbeSinkEvents,
-    ProgressCallbackEvents,
-    as_event_sink,
-)
+from repro.measure.metrics import CampaignProgress  # noqa: E402
 from repro.obs.span import SpanRecord  # noqa: E402
 
 
@@ -223,50 +174,6 @@ class TestEventSink:
         sink.on_span_closed(_span_record())
         sink.close()
 
-    def test_as_event_sink_coercions(self):
-        events = EventSink()
-        assert as_event_sink(events) is events
-        collector = CollectorSink()
-        wrapped = as_event_sink(collector)
-        assert isinstance(wrapped, ProbeSinkEvents)
-        wrapped.on_probe(_trace())
-        assert len(collector.traces) == 1
-        seen = []
-        as_event_sink(seen.append).on_probe(_trace())
-        assert len(seen) == 1
-        with pytest.raises(TypeError):
-            as_event_sink(42)
-
-    def test_as_event_sink_does_not_warn(self, recwarn):
-        as_event_sink(CollectorSink())
-        as_event_sink(lambda t: None)
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-
-    def test_probe_sink_events_close_propagates(self):
-        class Closeable:
-            closed = False
-
-            def consume(self, trace):
-                pass
-
-            def close(self):
-                self.closed = True
-
-        closeable = Closeable()
-        ProbeSinkEvents(closeable).close()
-        assert closeable.closed
-
-    def test_progress_callback_adapter(self):
-        calls = []
-        sink = ProgressCallbackEvents(lambda p, t: calls.append((p, t)))
-        progress = CampaignProgress(label="round1")
-        timing = ShardTiming(index=0, region="use1", probes=4, seconds=0.1)
-        sink.on_shard_merged(progress, timing)
-        sink.on_probe(_trace())  # not its event; must be ignored
-        assert calls == [(progress, timing)]
-
     def test_fanout_events_drops_none_and_fans_out(self):
         order = []
 
@@ -283,22 +190,17 @@ class TestEventSink:
             def close(self):
                 order.append(("close", self.tag))
 
-        fan = FanoutEvents(Spy("a"), None, Spy("b"), lambda t: order.append(("cb", "c")))
-        assert len(fan.sinks) == 3
+        fan = FanoutEvents(Spy("a"), None, Spy("b"))
+        assert len(fan.sinks) == 2
         fan.on_probe(_trace())
         fan.on_span_closed(_span_record())
         fan.on_shard_merged(CampaignProgress(label="x"), None)
         fan.close()
         assert order == [
-            ("probe", "a"), ("probe", "b"), ("cb", "c"),
+            ("probe", "a"), ("probe", "b"),
             ("span", "a"), ("span", "b"),
             ("close", "a"), ("close", "b"),
         ]
-
-    def test_callback_events_forwards(self):
-        seen = []
-        CallbackEvents(seen.append).on_probe(_trace())
-        assert len(seen) == 1
 
 
 class TestProgressPrinter:

@@ -6,7 +6,9 @@ run's ``StudyResult.digest()`` bit-for-bit, without re-executing the
 stages that already completed.
 """
 
+import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -40,8 +42,16 @@ def _config(**overrides):
 
 
 @pytest.fixture(scope="module")
-def clean_result(tiny_world):
-    return AmazonPeeringStudy(tiny_world, config=_config()).run()
+def clean_checkpoint_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("clean-checkpoints")
+
+
+@pytest.fixture(scope="module")
+def clean_result(tiny_world, clean_checkpoint_dir):
+    # The uninterrupted reference run also checkpoints, so the bytes both
+    # stores write are pinned below at no extra cost.
+    config = _config(checkpoint_dir=str(clean_checkpoint_dir))
+    return AmazonPeeringStudy(tiny_world, config=config).run()
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +212,50 @@ class TestStageStore:
         store = StageStore(tmp_path, resume=True)
         assert store.load("alias", "fp") is not None
         assert not list(tmp_path.glob("*.tmp"))
+
+
+# --- on-disk bytes ------------------------------------------------------
+
+#: sha256 of every file the clean run leaves in its checkpoint directory.
+#: Each journal line's packed shard carries the shard's wall-clock seconds
+#: as its third element; that one field is zeroed before hashing, every
+#: other byte of both stores is pinned.
+STORE_SHA256 = {
+    "round1.jsonl": "832724aa13a7f28abfccbee5fcbab03b23f43b678e58bf24784b63b987b331f4",
+    "round2.jsonl": "898c1a52e3cf6ec09798c6be5ab12af836e6be51f0668ffc7135612afa979fc6",
+    "stage_alias.json": "5c9854f26fb57c1c2e48f334498017a48e98f50a1834c20a362d000cf1e4de0d",
+    "stage_crossval.json": "dc827f6bc0838f4608bc36e43da8e59b3de67f5c4d8e94f29708779dc71a77f1",
+    "stage_grouping.json": "05a09c61c99c67447ffd429b3a3c69e8656a039de0bc85e5b0f74fe45a4f9215",
+    "stage_heuristics.json": "07d711e72a2107c61db500a88cd98b1427a590468c9af62a817668561709ac93",
+    "stage_icg.json": "36fb73fe68bd3d0ad7f4c43f4d02348a6a590dba3c233b6580feb9c320fc27a9",
+    "stage_pinning.json": "d1aeef7eec083a2df25249575b90da5773887514aa718a265418c25587f49c8d",
+    "stage_quality.json": "7f06bbd0dcdcc30d988b86ae3bbb9b98ff36de92a7eaf047720273d3b40b1bfc",
+    "stage_recovery.json": "76c37a90ef538ae29a99215660161dbd42456ead44a1fa7bcd0236f8dde57ced",
+    "stage_round1.json": "51fced66c6e95c6fe17a70e5ca2215f46e0aebed7eb1b93d6c971be5b499600d",
+    "stage_round2.json": "2885b395ce8c5a7ebbf63eeabe89187b42ff3fae9d5fd1add17eab7ace610e08",
+    "stage_validate.json": "f94035a741326735bd9d73683ad7e9193d11500190ead06cad854c4447f87fe7",
+    "stage_vpi.json": "cc0a19d65e18b24b92fcb7d35116273c429a19d38d97c8e5862a87e30e1ec9e1",
+    "vpi_google.jsonl": "87dbff29d35dc6e5a638e570203dfe7b3b3f9ab14e44cc93f4740fb59530a65e",
+    "vpi_ibm.jsonl": "d4c757c6774c1d3c622b9d18eddb4f226ee1b208267a58a6dcad56db65af0782",
+    "vpi_microsoft.jsonl": "0b1d0613d983743889a0321bf604c1d417188e7b1be718385c4c11bcdd58d5d9",
+    "vpi_oracle.jsonl": "579b1ccd7c7e2b30973ef823684c778da2a3682cef842e5ad462dd1e725600bf",
+}
+
+_SHARD_SECONDS = re.compile(
+    rb'^(\{"shard": \d+, "packed": \[\d+, "[^"]*", )[^,]+,', re.MULTILINE
+)
+
+
+def test_checkpoint_store_bytes_are_pinned(clean_result, clean_checkpoint_dir):
+    hashes = {}
+    for path in sorted(clean_checkpoint_dir.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".jsonl":
+            data, shards = _SHARD_SECONDS.subn(rb"\g<1>0.0,", data)
+            # Every line after the header is a shard record.
+            assert shards == data.count(b"\n") - 1
+        hashes[path.name] = hashlib.sha256(data).hexdigest()
+    assert hashes == STORE_SHA256
 
 
 # --- kill/resume bit-identity ------------------------------------------
